@@ -7,6 +7,11 @@
 //!     [--trace PATH] [--profile] [--max-total-regression FRAC]
 //! ```
 //!
+//! The command line is strict: an unknown or repeated flag, a missing
+//! or malformed value, `--max-total-regression` without `--baseline` or
+//! `--checkpoint-every` without a checkpoint exits with code 2 and runs
+//! nothing. `--help` prints the usage and runs nothing.
+//!
 //! Runs the full decomposed Table 2 matrix (bv-broadcast + simplified
 //! consensus, nine properties) and writes per-property wall time, schema
 //! counts, verdicts, SMT solver statistics, exploration-cache hit rates
@@ -20,9 +25,9 @@
 //! With `--baseline PATH`, the run is compared against a previously
 //! emitted file: the process exits nonzero if any verdict changed, any
 //! property got more than 3x slower, or any deterministic solver
-//! statistic (checks, pivots, case splits) regressed beyond its own
-//! factor — wall time alone is too noisy on shared CI machines to
-//! either trust or fake.
+//! statistic (checks, case splits, pivots, propagations) regressed
+//! beyond its own factor — wall time alone is too noisy on shared CI
+//! machines to either trust or fake.
 //!
 //! `--automaton NAME` / `--property NAME` (substring match, repeatable
 //! by intent via a comma list) restrict the matrix, so the dev loop on
@@ -63,11 +68,11 @@ use holistic_supervise::{ChaosOptions, Checkpoint, SupervisedJob, Supervisor, Su
 /// comparison fails.
 const REGRESSION_FACTOR: f64 = 3.0;
 
-/// Factor by which a *deterministic* solver statistic (checks, pivots,
-/// case splits) may grow vs the baseline before the comparison fails.
-/// These counters don't depend on machine speed, so the tolerance is
-/// much tighter than the wall-time gate — a noisy CI machine can
-/// neither mask nor fake a solver-work regression.
+/// Factor by which a *deterministic* solver statistic (checks, case
+/// splits, pivots, propagations) may grow vs the baseline before the
+/// comparison fails. These counters don't depend on machine speed, so
+/// the tolerance is much tighter than the wall-time gate — a noisy CI
+/// machine can neither mask nor fake a solver-work regression.
 const STAT_REGRESSION_FACTOR: f64 = 1.10;
 
 /// Absolute slack under which a statistic increase is ignored (tiny
@@ -538,10 +543,11 @@ fn compare(results: &[PropResult], baseline: &Json) -> (Vec<String>, f64) {
             ));
         }
         let base_solver = base.get("solver");
-        let stats: [(&str, u64); 3] = [
+        let stats: [(&str, u64); 4] = [
             ("checks", r.solver.checks),
             ("case_splits", r.solver.case_splits),
             ("pivots", r.solver.pivots),
+            ("propagations", r.solver.propagations),
         ];
         for (stat, current) in stats {
             let Some(base_stat) = base_solver.and_then(|s| s.get(stat)).and_then(Json::as_f64)
@@ -561,49 +567,154 @@ fn compare(results: &[PropResult], baseline: &Json) -> (Vec<String>, f64) {
     (failures, base_total)
 }
 
+const USAGE: &str = "\
+usage: table2_bench [--quick] [--iters N] [--threads N] [--out PATH]
+                    [--baseline PATH] [--max-total-regression FRAC]
+                    [--automaton NAMES] [--property NAMES]
+                    [--trace PATH] [--profile] [--explain-prunes]
+                    [--checkpoint DIR | --resume DIR] [--checkpoint-every N]
+";
+
+/// The parsed command line. Parsing is strict: an unknown or repeated
+/// flag, a missing or malformed value, or an option whose companion is
+/// missing is an error, never a silent fallback to a default.
+#[derive(Default)]
+struct Args {
+    quick: bool,
+    explain: bool,
+    profile: bool,
+    iters: Option<usize>,
+    threads: Option<usize>,
+    out: Option<String>,
+    baseline: Option<String>,
+    max_total_regression: Option<f64>,
+    automaton: Option<String>,
+    property: Option<String>,
+    trace: Option<String>,
+    checkpoint: Option<PathBuf>,
+    resume: Option<PathBuf>,
+    checkpoint_every: Option<usize>,
+}
+
+/// `Ok(None)` means `--help`: print the usage and run nothing.
+fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
+    if argv.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(None);
+    }
+    fn on(slot: &mut bool, flag: &str) -> Result<(), String> {
+        if std::mem::replace(slot, true) {
+            return Err(format!("{flag} given more than once"));
+        }
+        Ok(())
+    }
+    fn set<T>(slot: &mut Option<T>, flag: &str, value: T) -> Result<(), String> {
+        if slot.replace(value).is_some() {
+            return Err(format!("{flag} given more than once"));
+        }
+        Ok(())
+    }
+    fn value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, String> {
+        match it.next() {
+            Some(v) if !v.starts_with("--") => Ok(v),
+            _ => Err(format!("{flag} needs a value")),
+        }
+    }
+    fn positive(flag: &str, value: &str) -> Result<usize, String> {
+        match value.parse::<usize>() {
+            Ok(n) if n > 0 => Ok(n),
+            _ => Err(format!("{flag} needs a positive integer, got {value:?}")),
+        }
+    }
+    fn fraction(flag: &str, value: &str) -> Result<f64, String> {
+        match value.parse::<f64>() {
+            Ok(f) if f.is_finite() && f >= 0.0 => Ok(f),
+            _ => Err(format!(
+                "{flag} needs a non-negative fraction, got {value:?}"
+            )),
+        }
+    }
+    let mut args = Args::default();
+    let mut it = argv.iter();
+    while let Some(flag) = it.next() {
+        let f = flag.as_str();
+        match f {
+            "--quick" => on(&mut args.quick, f)?,
+            "--explain-prunes" => on(&mut args.explain, f)?,
+            "--profile" => on(&mut args.profile, f)?,
+            "--iters" => set(&mut args.iters, f, positive(f, value(&mut it, f)?)?)?,
+            "--threads" => set(&mut args.threads, f, positive(f, value(&mut it, f)?)?)?,
+            "--checkpoint-every" => {
+                let n = positive(f, value(&mut it, f)?)?;
+                set(&mut args.checkpoint_every, f, n)?
+            }
+            "--max-total-regression" => {
+                let frac = fraction(f, value(&mut it, f)?)?;
+                set(&mut args.max_total_regression, f, frac)?
+            }
+            "--out" => set(&mut args.out, f, value(&mut it, f)?.to_owned())?,
+            "--baseline" => set(&mut args.baseline, f, value(&mut it, f)?.to_owned())?,
+            "--automaton" => set(&mut args.automaton, f, value(&mut it, f)?.to_owned())?,
+            "--property" => set(&mut args.property, f, value(&mut it, f)?.to_owned())?,
+            "--trace" => set(&mut args.trace, f, value(&mut it, f)?.to_owned())?,
+            "--checkpoint" => set(&mut args.checkpoint, f, value(&mut it, f)?.into())?,
+            "--resume" => set(&mut args.resume, f, value(&mut it, f)?.into())?,
+            _ => return Err(format!("unknown argument {flag:?}")),
+        }
+    }
+    if args.max_total_regression.is_some() && args.baseline.is_none() {
+        return Err("--max-total-regression needs --baseline".to_owned());
+    }
+    if args.checkpoint_every.is_some() && args.checkpoint.is_none() && args.resume.is_none() {
+        return Err("--checkpoint-every needs --checkpoint or --resume".to_owned());
+    }
+    Ok(Some(args))
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = env::args().collect();
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
+    let argv: Vec<String> = env::args().skip(1).collect();
+    let args = match parse_args(&argv) {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("table2_bench: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
-    let quick = args.iter().any(|a| a == "--quick");
-    let explain = args.iter().any(|a| a == "--explain-prunes");
-    let mut iters: usize = flag_value("--iters")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick { 1 } else { 3 });
-    let threads: Option<usize> = flag_value("--threads").and_then(|s| s.parse().ok());
-    let out_path = flag_value("--out").map_or("BENCH_table2.json", String::as_str);
-    let baseline_path = flag_value("--baseline").map(String::as_str);
+    let Args {
+        quick,
+        explain,
+        profile: profile_on,
+        iters,
+        threads,
+        out,
+        baseline: baseline_file,
+        max_total_regression,
+        automaton,
+        property,
+        trace: trace_path,
+        checkpoint,
+        resume,
+        checkpoint_every,
+    } = args;
+    let mut iters = iters.unwrap_or(if quick { 1 } else { 3 });
+    let out_path = out.as_deref().unwrap_or("BENCH_table2.json");
+    let baseline_path = baseline_file.as_deref();
     let filter = Filter {
-        automaton: flag_value("--automaton").cloned(),
-        property: flag_value("--property").cloned(),
+        automaton,
+        property,
     };
-    let trace_path = flag_value("--trace").cloned();
-    let profile_on = args.iter().any(|a| a == "--profile");
-    let max_total_regression: Option<f64> =
-        flag_value("--max-total-regression").and_then(|s| s.parse().ok());
-    let resume_dir = flag_value("--resume").map(PathBuf::from);
-    let checkpoint_dir = flag_value("--checkpoint").map(PathBuf::from);
-    let supervise = match (resume_dir, checkpoint_dir) {
-        (Some(dir), _) => Some(SuperviseOpts {
-            dir,
-            resume: true,
-            every: 1,
-        }),
-        (None, Some(dir)) => Some(SuperviseOpts {
-            dir,
-            resume: false,
-            every: 1,
-        }),
+    let supervise = match (resume, checkpoint) {
+        (Some(dir), _) => Some((dir, true)),
+        (None, Some(dir)) => Some((dir, false)),
         (None, None) => None,
-    };
-    let supervise = supervise.map(|mut opts| {
-        opts.every = flag_value("--checkpoint-every")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1);
-        opts
+    }
+    .map(|(dir, resume)| SuperviseOpts {
+        dir,
+        resume,
+        every: checkpoint_every.unwrap_or(1),
     });
     if supervise.is_some() && iters > 1 {
         eprintln!("checkpointed runs are single-pass; forcing --iters 1");
@@ -770,4 +881,43 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(propagations: u64) -> PropResult {
+        PropResult {
+            automaton: "bv-broadcast",
+            property: "BV-Just0".to_owned(),
+            verdict: "verified",
+            schemas: 4,
+            avg_segments: 2.0,
+            wall_ms: 10.0,
+            cache_hits: 6,
+            cache_misses: 6,
+            replayed: false,
+            cores_learned: 2,
+            schemas_pruned_by_core: 10,
+            threads: 1,
+            solver: holistic_lia::SolverStats {
+                propagations,
+                ..Default::default()
+            },
+        }
+    }
+
+    #[test]
+    fn propagations_are_gated_like_the_other_solver_counters() {
+        let baseline = Json::parse(&emit(&[row(2320)], 1, None, None)).unwrap();
+        let (failures, _) = compare(&[row(2600)], &baseline);
+        assert!(failures.is_empty(), "{failures:?}");
+        let (failures, _) = compare(&[row(75017)], &baseline);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].contains("solver propagations regressed"),
+            "{failures:?}"
+        );
+    }
 }

@@ -1026,6 +1026,11 @@ struct Worker<'a> {
     pruned_by_core: u64,
     recorder: Recorder,
     solver: SolverStats,
+    /// Solver checks and bound tightenings spent in query and
+    /// core-pattern probes. Registry-only: the probes are certificate
+    /// machinery, so this work stays out of `solver` and the reports.
+    probe_checks: u64,
+    probe_propagations: u64,
 }
 
 /// Tableau rows past which a worker rebuilds its encoding from the
@@ -1051,6 +1056,8 @@ impl<'a> Worker<'a> {
             pruned_by_core: 0,
             recorder: Recorder::new(),
             solver: SolverStats::default(),
+            probe_checks: 0,
+            probe_propagations: 0,
         }
     }
 
@@ -1103,6 +1110,8 @@ impl<'a> Worker<'a> {
         holistic_obs::add("checker.cache_misses", self.cache_misses);
         holistic_obs::add("checker.cores_learned", self.cores_learned);
         holistic_obs::add("checker.schemas_pruned_by_core", self.pruned_by_core);
+        holistic_obs::add("probe.checks", self.probe_checks);
+        holistic_obs::add("probe.propagations", self.probe_propagations);
         self.solver.publish();
     }
 
@@ -1368,6 +1377,7 @@ impl<'a> Worker<'a> {
         probe.assert_tail_exact();
         plan.assert_query(&mut probe, spec.info);
         let pruned = matches!(probe.check(), SatResult::Unsat);
+        self.count_probe(&probe.solver_stats());
         self.solver.merge(&SolverStats {
             core_micros: started.elapsed().as_micros() as u64,
             ..SolverStats::default()
@@ -1379,13 +1389,15 @@ impl<'a> Worker<'a> {
     /// Runs [`Encoding::probe_core_pattern`] for an extension step on a
     /// fresh base encoding. Only the certificate counters (plus the
     /// probe's wall time) are folded into this worker's statistics: the
-    /// probe is certificate machinery, not lattice search.
+    /// probe is certificate machinery, not lattice search. Its checks
+    /// and tightenings feed the registry-only `probe.*` counters.
     fn probe_core_pattern(&mut self, prev: u64, newly: u64) -> Option<(u64, u64, u64)> {
         let _span = holistic_obs::span("checker.core_probe");
         let started = Instant::now();
         let mut enc = self.fresh_encoding();
         let pattern = enc.probe_core_pattern(prev, newly);
         let s = enc.solver_stats();
+        self.count_probe(&s);
         self.solver.merge(&SolverStats {
             cores_extracted: s.cores_extracted,
             core_members: s.core_members,
@@ -1393,6 +1405,13 @@ impl<'a> Worker<'a> {
             ..SolverStats::default()
         });
         pattern
+    }
+
+    /// Adds a finished probe encoding's solver work to the `probe.*`
+    /// counters.
+    fn count_probe(&mut self, s: &SolverStats) {
+        self.probe_checks += s.checks;
+        self.probe_propagations += s.propagations;
     }
 
     fn smt_feasibility(&mut self, enc: &mut Encoding<'_>, chain: &[u64], record: bool) -> bool {

@@ -1328,6 +1328,75 @@ mod tests {
         assert_eq!(core, vec![a, b, c]);
     }
 
+    /// BV-Just0's base system: `x1 - x2 >= 0` against `x1 - x2 + 1 <= 0`
+    /// is infeasible over ℚ, but no variable has an upper bound, so the
+    /// presolve can only push `lo(x1)` and `lo(x2)` up by one per round.
+    fn creeping_cycle(s: &mut Solver) -> Vec<AssertId> {
+        let x0 = s.new_var("x0");
+        let x1 = s.new_var("x1");
+        let x2 = s.new_var("x2");
+        let zero = LinExpr::zero;
+        vec![
+            s.assert_constraint_tracked(Constraint::ge(e(&[(x0, 1), (x1, -3)], -1), zero())),
+            s.assert_constraint_tracked(Constraint::ge(e(&[(x1, 1), (x2, -1)], 0), zero())),
+            s.assert_constraint_tracked(Constraint::ge(e(&[(x2, 1)], 0), zero())),
+            s.assert_constraint_tracked(Constraint::le(e(&[(x1, 1), (x2, -1)], 1), zero())),
+        ]
+    }
+
+    #[test]
+    fn creeping_cycle_stops_at_the_row_scaled_cap() {
+        let mut s = Solver::new();
+        creeping_cycle(&mut s);
+        assert!(s.check().is_unsat());
+        let cap = Propagator::tightening_cap(4);
+        let p = s.stats().propagations;
+        // The step in progress finishes, so a two-term row may add one
+        // tightening past the cap.
+        assert!((cap..=cap + 1).contains(&p), "{p} tightenings, cap {cap}");
+        assert_eq!(s.stats().propagation_refutations, 0, "the simplex decides");
+        let core = s.unsat_core().expect("a core");
+
+        let mut plain = Solver::with_config(SolverConfig {
+            propagation: false,
+            ..SolverConfig::default()
+        });
+        creeping_cycle(&mut plain);
+        assert!(plain.check().is_unsat());
+        assert_eq!(plain.unsat_core().expect("a core"), core);
+    }
+
+    #[test]
+    fn long_convergent_chain_reaches_its_conflict() {
+        // x_{i+1} >= x_i + 1 for 200 rows with x_0 >= 0 and x_200 <= 199:
+        // refuting it takes about one tightening per row.
+        let mut s = Solver::new();
+        let xs: Vec<Var> = (0..=200)
+            .map(|i| s.new_nonneg_var(format!("x{i}")))
+            .collect();
+        for w in xs.windows(2) {
+            s.assert_constraint(Constraint::ge(
+                e(&[(w[1], 1), (w[0], -1)], -1),
+                LinExpr::zero(),
+            ));
+        }
+        s.assert_constraint(Constraint::le(
+            LinExpr::var(xs[200]),
+            LinExpr::constant(199),
+        ));
+        assert!(s.check().is_unsat());
+        let stats = s.stats();
+        assert_eq!(stats.propagation_refutations, 1);
+        assert_eq!(stats.pivots, 0);
+        // More than the cap's constant floor, and linear in the rows: a
+        // last-in-first-out worklist walked this chain in 20,100.
+        assert!(
+            stats.propagations > Propagator::tightening_cap(0),
+            "{stats:?}"
+        );
+        assert!(stats.propagations <= 2 * 201, "{stats:?}");
+    }
+
     #[test]
     fn unsat_core_scoped_to_level() {
         let mut s = Solver::new();

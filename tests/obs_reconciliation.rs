@@ -20,6 +20,11 @@
 //!   still match exactly on `cores_learned` /
 //!   `schemas_pruned_by_core`.
 //!
+//! * the probes' solver work is published under its own `probe.*`
+//!   counters, never under `lia.*`: on a Table 2 cell that probes, the
+//!   `probe.*` counters are nonzero while the `lia.*` counters still
+//!   equal the report exactly.
+//!
 //! The registry is process-global, so every test serializes on one
 //! mutex and resets the registry around each measured run.
 
@@ -28,6 +33,7 @@ use std::sync::Mutex;
 use holistic_verification::checker::{CheckReport, Checker, CheckerConfig, Strategy};
 use holistic_verification::lia::SolverStats;
 use holistic_verification::ltl::{Justice, Ltl, Prop};
+use holistic_verification::models::{BvBroadcastModel, SimplifiedConsensusModel};
 use holistic_verification::mutate::generator::random_ta;
 use holistic_verification::obs;
 use rand::rngs::StdRng;
@@ -239,4 +245,41 @@ fn registry_dominates_reports_with_sharing() {
         }
     }
     assert!(cases >= 6, "corpus too thin: only {cases} in-fragment runs");
+}
+
+#[test]
+fn probe_work_is_counted_apart_from_lia() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let bv = BvBroadcastModel::new();
+    let sc = SimplifiedConsensusModel::new();
+    // Both cells run core-pattern and final-context query probes.
+    let cells = [
+        (&bv.ta, bv.justice(), bv.table2_specs(), "BV-Just0"),
+        (&sc.ta, sc.justice(), sc.table2_specs(), "Inv2_0"),
+    ];
+    for (ta, justice, specs, name) in &cells {
+        let (_, spec) = specs.iter().find(|(n, _)| n == name).expect("Table 2 cell");
+        let checker = Checker::with_config(CheckerConfig {
+            share_exploration: false,
+            threads: Some(1),
+            ..CheckerConfig::default()
+        });
+        let (report, counters) =
+            measured_run(&checker, ta, spec, justice).expect("in the fragment");
+        assert!(
+            counter(&counters, "probe.checks") > 0,
+            "{name}: probe checks"
+        );
+        assert!(
+            counter(&counters, "probe.propagations") > 0,
+            "{name}: probe propagations"
+        );
+        for (metric, expected) in solver_fields(&report.solver_stats()) {
+            assert_eq!(
+                counter(&counters, metric),
+                expected,
+                "{name}: {metric} must equal the merged report value"
+            );
+        }
+    }
 }
