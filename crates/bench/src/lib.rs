@@ -5,28 +5,31 @@
 //! verification time; the naive consensus automaton times out while the
 //! decomposed approach finishes in under 70 seconds.
 //!
-//! * the [`table2`](bv_broadcast_rows) API produces the same rows from
-//!   this reproduction's checker (the `table2` binary prints them);
-//! * the Criterion benches (`cargo bench -p holistic-bench`) measure the
-//!   fast properties per-iteration and the substrate layers.
+//! * [`table2_cells`] lists the table's cells, each with what the paper
+//!   reports for it;
+//! * [`Table2Row`] and [`render`] turn checker reports on those cells
+//!   into the paper-format table that the `table2_bench` binary prints
+//!   (it also records `BENCH_table2.json`);
+//! * [`cli`] is the strict flag parser the workspace's binaries share.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub use holistic_core::json;
 
+pub mod cli;
 pub mod trace;
 
 use std::time::Duration;
 
-use holistic_checker::{Checker, CheckerConfig, Strategy, Verdict};
+use holistic_checker::{CheckReport, Verdict};
 use holistic_ltl::{Justice, Ltl};
 use holistic_models::{BvBroadcastModel, NaiveConsensusModel, SimplifiedConsensusModel};
 use holistic_ta::ThresholdAutomaton;
 
 /// One Table-2 cell as a *checkable object*: the automaton, the
 /// property and the justice assumption, independent of any particular
-/// driver. `table2` renders these through the symbolic checker;
+/// driver. `table2_bench` runs these through the symbolic checker;
 /// `holistic-oracle`'s differential harness sweeps the same list
 /// through explicit-state enumeration at small parameters, so the two
 /// pipelines can never silently drift onto different cell sets.
@@ -41,7 +44,21 @@ pub struct Table2Cell {
     pub spec: Ltl,
     /// The justice assumption the paper pairs with this automaton.
     pub justice: Justice,
+    /// What the paper reports for this cell.
+    pub paper: &'static str,
 }
+
+impl Table2Cell {
+    /// Whether the cell belongs to the decomposed approach (bv-broadcast
+    /// and simplified consensus) rather than the naive automaton.
+    pub fn is_decomposed(&self) -> bool {
+        self.automaton != "naive-consensus"
+    }
+}
+
+/// The paper's row for every naive-consensus property: ByMC could not
+/// verify any of the three within a day on 64 cores.
+const NAIVE_TIMEOUT: &str = ">100 000 schemas, >24h (timeout)";
 
 /// Every cell of the paper's Table 2, in row order: the four
 /// bv-broadcast properties, the three naive-consensus properties and
@@ -49,46 +66,77 @@ pub struct Table2Cell {
 pub fn table2_cells() -> Vec<Table2Cell> {
     let mut cells = Vec::new();
     let bv = BvBroadcastModel::new();
-    let justice = bv.justice();
-    for (name, spec) in bv.table2_specs() {
-        cells.push(Table2Cell {
-            automaton: "bv-broadcast",
-            property: name.to_owned(),
-            ta: bv.ta.clone(),
-            spec,
-            justice: justice.clone(),
-        });
-    }
+    push_block(
+        &mut cells,
+        "bv-broadcast",
+        &bv.ta,
+        bv.justice(),
+        bv.table2_specs(),
+        &[
+            "90 schemas, len 54, 5.61s",
+            "90 schemas, len 79, 6.87s",
+            "760 schemas, len 97, 27.64s",
+            "90 schemas, len 79, 6.75s",
+        ],
+    );
     let naive = NaiveConsensusModel::new();
-    let justice = naive.justice();
-    for (name, spec) in naive.table2_specs() {
-        cells.push(Table2Cell {
-            automaton: "naive-consensus",
-            property: name.to_owned(),
-            ta: naive.ta.clone(),
-            spec,
-            justice: justice.clone(),
-        });
-    }
+    push_block(
+        &mut cells,
+        "naive-consensus",
+        &naive.ta,
+        naive.justice(),
+        naive.table2_specs(),
+        &[NAIVE_TIMEOUT; 3],
+    );
     let simplified = SimplifiedConsensusModel::new();
-    let justice = simplified.justice();
-    for (name, spec) in simplified.table2_specs() {
-        cells.push(Table2Cell {
-            automaton: "simplified-consensus",
-            property: name.to_owned(),
-            ta: simplified.ta.clone(),
-            spec,
-            justice: justice.clone(),
-        });
-    }
+    push_block(
+        &mut cells,
+        "simplified-consensus",
+        &simplified.ta,
+        simplified.justice(),
+        simplified.table2_specs(),
+        &[
+            "6 schemas, len 102, 4.68s",
+            "2 schemas, len 73, 4.56s",
+            "2 schemas, len 109, 4.13s",
+            "2 schemas, len 67, 4.55s",
+            "2 schemas, len 73, 4.62s",
+        ],
+    );
     cells
 }
 
-/// One row of Table 2.
+/// Appends one automaton's cells, pairing its specs with the paper's
+/// rows in order.
+fn push_block(
+    cells: &mut Vec<Table2Cell>,
+    automaton: &'static str,
+    ta: &ThresholdAutomaton,
+    justice: Justice,
+    specs: Vec<(&'static str, Ltl)>,
+    paper: &[&'static str],
+) {
+    assert_eq!(
+        specs.len(),
+        paper.len(),
+        "{automaton}: one paper row per spec"
+    );
+    for ((name, spec), &paper) in specs.into_iter().zip(paper) {
+        cells.push(Table2Cell {
+            automaton,
+            property: name.to_owned(),
+            ta: ta.clone(),
+            spec,
+            justice: justice.clone(),
+            paper,
+        });
+    }
+}
+
+/// One row of Table 2: a cell together with its checker report.
 #[derive(Clone, Debug)]
 pub struct Table2Row {
-    /// Automaton block (`bv-broadcast`, `naive consensus`,
-    /// `simplified consensus`).
+    /// Automaton block name of the cell (`bv-broadcast` …).
     pub automaton: &'static str,
     /// Automaton size `(unique guards, locations, rules)`.
     pub size: (usize, usize, usize),
@@ -98,142 +146,65 @@ pub struct Table2Row {
     pub verdict: Verdict,
     /// Number of schemas.
     pub schemas: usize,
-    /// Whether the schema count is a lower bound (cap hit).
+    /// Whether the schema count is a lower bound: the checker gave up
+    /// (schema cap, budget) before enumerating them all.
     pub schemas_capped: bool,
     /// Average schema length.
     pub avg_segments: f64,
     /// Wall-clock time.
     pub time: Duration,
-    /// What the paper reports for this row (for EXPERIMENTS.md).
+    /// What the paper reports for this row.
     pub paper: &'static str,
 }
 
-/// Runs the bv-broadcast block of Table 2.
-pub fn bv_broadcast_rows(checker: &Checker) -> Vec<Table2Row> {
-    let model = BvBroadcastModel::new();
-    let justice = model.justice();
-    let paper = [
-        ("BV-Just0", "90 schemas, len 54, 5.61s"),
-        ("BV-Obl0", "90 schemas, len 79, 6.87s"),
-        ("BV-Unif0", "760 schemas, len 97, 27.64s"),
-        ("BV-Term", "90 schemas, len 79, 6.75s"),
-    ];
-    model
-        .table2_specs()
-        .into_iter()
-        .zip(paper)
-        .map(|((name, spec), (_, paper))| {
-            let report = checker
-                .check_ltl(&model.ta, &spec, &justice)
-                .expect("bv-broadcast model in fragment");
-            Table2Row {
-                automaton: "bv-broadcast (Fig. 2)",
-                size: model.ta.size_summary(),
-                property: name.to_owned(),
-                verdict: report.verdict(),
-                schemas: report.total_schemas(),
-                schemas_capped: false,
-                avg_segments: report.avg_segments(),
-                time: report.duration,
-                paper,
-            }
-        })
-        .collect()
+impl Table2Row {
+    /// The row of `cell`, from the checker's report on it.
+    pub fn new(cell: &Table2Cell, report: &CheckReport) -> Table2Row {
+        let verdict = report.verdict();
+        Table2Row {
+            automaton: cell.automaton,
+            size: cell.ta.size_summary(),
+            property: cell.property.clone(),
+            schemas_capped: matches!(verdict, Verdict::Unknown(_)),
+            verdict,
+            schemas: report.total_schemas(),
+            avg_segments: report.avg_segments(),
+            time: report.duration,
+            paper: cell.paper,
+        }
+    }
 }
 
-/// Runs the simplified-consensus block of Table 2.
-pub fn simplified_rows(checker: &Checker) -> Vec<Table2Row> {
-    let model = SimplifiedConsensusModel::new();
-    let justice = model.justice();
-    let paper = [
-        ("Inv1_0", "6 schemas, len 102, 4.68s"),
-        ("Inv2_0", "2 schemas, len 73, 4.56s"),
-        ("SRoundTerm", "2 schemas, len 109, 4.13s"),
-        ("Good_0", "2 schemas, len 67, 4.55s"),
-        ("Dec_0", "2 schemas, len 73, 4.62s"),
-    ];
-    model
-        .table2_specs()
-        .into_iter()
-        .zip(paper)
-        .map(|((name, spec), (_, paper))| {
-            let report = checker
-                .check_ltl(&model.ta, &spec, &justice)
-                .expect("simplified model in fragment");
-            Table2Row {
-                automaton: "simplified consensus (Fig. 4)",
-                size: model.ta.size_summary(),
-                property: name.to_owned(),
-                verdict: report.verdict(),
-                schemas: report.total_schemas(),
-                schemas_capped: false,
-                avg_segments: report.avg_segments(),
-                time: report.duration,
-                paper,
-            }
-        })
-        .collect()
+/// The paper's name for an automaton block, with its figure.
+fn block_title(automaton: &str) -> &str {
+    match automaton {
+        "bv-broadcast" => "bv-broadcast (Fig. 2)",
+        "naive-consensus" => "naive consensus (Fig. 3)",
+        "simplified-consensus" => "simplified consensus (Fig. 4)",
+        other => other,
+    }
 }
 
-/// Runs the naive-consensus block of Table 2 with the given schema cap:
-/// like ByMC on a 64-core machine, the checker cannot finish — the DFS
-/// blows through the cap, reproducing the `>100 000 schemas, >24h` rows.
-pub fn naive_rows(cap: usize) -> Vec<Table2Row> {
-    let model = NaiveConsensusModel::new();
-    let justice = model.justice();
-    let checker = Checker::with_config(CheckerConfig {
-        max_schemas: cap,
-        strategy: Strategy::Enumerate,
-        ..CheckerConfig::default()
-    });
-    // The paper could not verify any of the three within a day. This
-    // reproduction's feasibility-pruned DFS actually *finishes* Inv2_0
-    // (its □-emptiness premise collapses the lattice) and blows the cap
-    // on the other two — the shape of the explosion is preserved where
-    // it exists.
-    let paper = [
-        ("Inv1_0", ">100 000 schemas, >24h (timeout)"),
-        ("Inv2_0", ">100 000 schemas, >24h (timeout)"),
-        ("SRoundTerm", ">100 000 schemas, >24h (timeout)"),
-    ];
-    model
-        .table2_specs()
-        .into_iter()
-        .zip(paper)
-        .map(|((name, spec), (_, paper))| {
-            let report = checker
-                .check_ltl(&model.ta, &spec, &justice)
-                .expect("naive model in fragment");
-            let capped = matches!(report.verdict(), Verdict::Unknown(_));
-            Table2Row {
-                automaton: "naive consensus (Fig. 3)",
-                size: model.ta.size_summary(),
-                property: name.to_owned(),
-                verdict: report.verdict(),
-                schemas: report.total_schemas(),
-                schemas_capped: capped,
-                avg_segments: report.avg_segments(),
-                time: report.duration,
-                paper,
-            }
-        })
-        .collect()
-}
-
-/// Formats rows as an aligned text table.
+/// Formats rows as aligned text tables, one per automaton block, each
+/// with its own header and followed by a blank line.
 pub fn render(rows: &[Table2Row]) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "{:<40} {:<12} {:<10} {:>9} {:>8} {:>12}   {}\n",
-        "TA (guards/locs/rules)",
-        "property",
-        "verdict",
-        "#schemas",
-        "avg len",
-        "time",
-        "paper reports"
-    ));
-    for r in rows {
+    for (i, r) in rows.iter().enumerate() {
+        if i == 0 || rows[i - 1].automaton != r.automaton {
+            if i > 0 {
+                out.push('\n');
+            }
+            out.push_str(&format!(
+                "{:<40} {:<12} {:<10} {:>9} {:>8} {:>12}   {}\n",
+                "TA (guards/locs/rules)",
+                "property",
+                "verdict",
+                "#schemas",
+                "avg len",
+                "time",
+                "paper reports"
+            ));
+        }
         let verdict = match &r.verdict {
             Verdict::Verified => "verified".to_owned(),
             Verdict::Violated(_) => "VIOLATED".to_owned(),
@@ -246,7 +217,13 @@ pub fn render(rows: &[Table2Row]) -> String {
         };
         out.push_str(&format!(
             "{:<40} {:<12} {:<10} {:>9} {:>8.1} {:>12.2?}   {}\n",
-            format!("{} {}/{}/{}", r.automaton, r.size.0, r.size.1, r.size.2),
+            format!(
+                "{} {}/{}/{}",
+                block_title(r.automaton),
+                r.size.0,
+                r.size.1,
+                r.size.2
+            ),
             r.property,
             verdict,
             schemas,
@@ -255,23 +232,35 @@ pub fn render(rows: &[Table2Row]) -> String {
             r.paper,
         ));
     }
+    if !rows.is_empty() {
+        out.push('\n');
+    }
     out
 }
 
 #[cfg(test)]
 mod tests {
+    use holistic_checker::Checker;
+
     use super::*;
 
     #[test]
     fn bv_rows_all_verified() {
         let checker = Checker::new();
-        let rows = bv_broadcast_rows(&checker);
+        let rows: Vec<Table2Row> = table2_cells()
+            .iter()
+            .filter(|c| c.automaton == "bv-broadcast")
+            .map(|c| Table2Row::new(c, &checker.check_ltl(&c.ta, &c.spec, &c.justice).unwrap()))
+            .collect();
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.verdict.is_verified(), "{}", r.property);
+            assert!(!r.schemas_capped, "{}", r.property);
         }
         let table = render(&rows);
-        assert!(table.contains("BV-Unif0"), "{table}");
+        assert!(table.contains("bv-broadcast (Fig. 2) 4/10/19"), "{table}");
+        assert!(table.contains("760 schemas, len 97, 27.64s"), "{table}");
+        assert_eq!(table.matches("paper reports").count(), 1, "{table}");
     }
 
     #[test]
@@ -299,21 +288,8 @@ mod tests {
         for c in &cells {
             assert!(c.ta.validate().is_ok(), "{}/{}", c.automaton, c.property);
         }
-    }
-
-    #[test]
-    fn naive_rows_show_the_explosion() {
-        // Tiny cap: enough to show the explosion signal quickly. Inv2_0
-        // is the exception — its globally-empty premise collapses the
-        // lattice and it verifies outright (beyond the paper).
-        let rows = naive_rows(40);
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            if r.property == "Inv2_0" {
-                assert!(r.verdict.is_verified(), "Inv2_0 verifies even naively");
-            } else {
-                assert!(r.schemas_capped, "{} should hit the cap", r.property);
-            }
-        }
+        assert_eq!(cells.iter().filter(|c| c.is_decomposed()).count(), 9);
+        assert_eq!(cells[4].paper, NAIVE_TIMEOUT);
+        assert_eq!(cells[11].paper, "2 schemas, len 73, 4.62s");
     }
 }

@@ -54,6 +54,14 @@ fn malformed_command_lines_exit_2_and_run_nothing() {
         ("repeated flag", vec!["--threads", "1", "--threads", "2"]),
         ("missing value", vec!["--quick", "--iters"]),
         ("flag as value", vec!["--out", "--quick"]),
+        ("malformed naive cap", vec!["--naive", "--naive-cap", "abc"]),
+        ("zero naive cap", vec!["--naive", "--naive-cap", "0"]),
+        ("naive cap without naive", vec!["--naive-cap", "60"]),
+        ("repeated naive", vec!["--naive", "--naive"]),
+        (
+            "checkpoint and resume",
+            vec!["--checkpoint", "a", "--resume", "b"],
+        ),
     ];
     for (what, args) in cases {
         let out = table2_bench(&dir, &args);

@@ -1,7 +1,8 @@
-//! Golden-output test for the `table2` binary.
+//! Golden-output test for the Table 2 report that `table2_bench`
+//! prints on standard output.
 //!
 //! Pins `docs/table2_sample_output.txt` against the binary's actual
-//! report so formatting regressions (dropped columns, renamed
+//! report of a `--quick` run so formatting regressions (dropped columns, renamed
 //! properties, reordered blocks, changed verdicts or schema counts)
 //! are caught. Timings vary run to run, so every duration token is
 //! normalized to `<T>` and runs of spaces are collapsed (column
@@ -56,12 +57,17 @@ fn table2_report_matches_the_golden_sample() {
     );
     let golden = std::fs::read_to_string(golden_path).expect("golden sample exists");
 
-    let output = Command::new(env!("CARGO_BIN_EXE_table2"))
+    let dir = std::env::temp_dir().join(format!("holistic_golden_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let output = Command::new(env!("CARGO_BIN_EXE_table2_bench"))
+        .args(["--quick", "--out"])
+        .arg(dir.join("bench.json"))
         .output()
-        .expect("table2 runs");
+        .expect("table2_bench runs");
+    let _ = std::fs::remove_dir_all(&dir);
     assert!(
         output.status.success(),
-        "table2 failed: {}",
+        "table2_bench failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
     let actual = String::from_utf8(output.stdout).expect("utf-8 report");

@@ -39,7 +39,7 @@
 
 use std::collections::HashMap;
 use std::hash::{DefaultHasher, Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use holistic_ltl::Prop;
 use holistic_ta::{LocationId, ThresholdAutomaton};
@@ -562,27 +562,14 @@ impl Pruner {
     }
 }
 
-/// Number of lock stripes. Matrix-scheduled properties of different
-/// automata hash to different stripes, so concurrent whole-property
-/// jobs don't serialize on one cache lock.
-const SHARDS: usize = 8;
-
 /// The process-wide store, shared by all clones of a
-/// [`Checker`](crate::Checker) (clones share the same `Arc`).
-/// Lock-striped: keys are distributed over [`SHARDS`] independent
-/// mutexes by hash, so the matrix scheduler's concurrent property jobs
-/// contend only when they touch the same stripe.
-#[derive(Debug)]
+/// [`Checker`](crate::Checker) (clones share the same `Arc`). One lock
+/// guards the map: it is taken only at query boundaries (replay and
+/// pruner lookups, inserts), about two dozen times per one-thread
+/// Table 2 pass.
+#[derive(Debug, Default)]
 pub struct ExplorationCache {
-    shards: Vec<Mutex<HashMap<ExplorationKey, Arc<Exploration>>>>,
-}
-
-impl Default for ExplorationCache {
-    fn default() -> ExplorationCache {
-        ExplorationCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
+    map: Mutex<HashMap<ExplorationKey, Arc<Exploration>>>,
 }
 
 impl ExplorationCache {
@@ -591,21 +578,15 @@ impl ExplorationCache {
         ExplorationCache::default()
     }
 
-    fn shard(&self, key: &ExplorationKey) -> &Mutex<HashMap<ExplorationKey, Arc<Exploration>>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
+    fn map(&self) -> MutexGuard<'_, HashMap<ExplorationKey, Arc<Exploration>>> {
+        self.map
+            .lock()
+            .expect("no panic while the exploration cache lock is held")
     }
 
     /// A complete exploration recorded under exactly `key`, if any.
     pub fn replayable(&self, key: &ExplorationKey) -> Option<Arc<Exploration>> {
-        let hit = self
-            .shard(key)
-            .lock()
-            .unwrap()
-            .get(key)
-            .filter(|e| e.is_complete())
-            .cloned();
+        let hit = self.map().get(key).filter(|e| e.is_complete()).cloned();
         if hit.is_some() {
             holistic_obs::add("cache.replay_hit", 1);
         } else {
@@ -621,17 +602,15 @@ impl ExplorationCache {
         let mut sources: Vec<Arc<Exploration>> = Vec::new();
         let mut core_sources: Vec<Arc<Exploration>> = Vec::new();
         let mut feasible_sources: Vec<Arc<Exploration>> = Vec::new();
-        for shard in &self.shards {
-            for e in shard.lock().unwrap().values() {
-                if e.key().prunes(key) {
-                    sources.push(e.clone());
-                }
-                if e.key().transfers_cores(key) {
-                    core_sources.push(e.clone());
-                }
-                if e.key().feeds_feasible(key) {
-                    feasible_sources.push(e.clone());
-                }
+        for e in self.map().values() {
+            if e.key().prunes(key) {
+                sources.push(e.clone());
+            }
+            if e.key().transfers_cores(key) {
+                core_sources.push(e.clone());
+            }
+            if e.key().feeds_feasible(key) {
+                feasible_sources.push(e.clone());
             }
         }
         if sources.is_empty() && core_sources.is_empty() && feasible_sources.is_empty() {
@@ -651,7 +630,7 @@ impl ExplorationCache {
     /// an incomplete one.
     pub fn insert(&self, e: Exploration) {
         holistic_obs::add("cache.inserts", 1);
-        let mut map = self.shard(&e.key).lock().unwrap();
+        let mut map = self.map();
         match map.get(&e.key) {
             Some(old) if old.is_complete() && !e.is_complete() => {}
             _ => {
@@ -666,12 +645,10 @@ impl ExplorationCache {
     pub fn cores_for(&self, ta: &ThresholdAutomaton) -> Vec<(u64, u64, u64)> {
         let fp = fingerprint(ta);
         let mut set = CorePatternSet::new();
-        for shard in &self.shards {
-            for e in shard.lock().unwrap().values() {
-                if e.key.automaton == fp {
-                    for &(m, h, d) in e.cores() {
-                        set.insert(m, h, d);
-                    }
+        for e in self.map().values() {
+            if e.key.automaton == fp {
+                for &(m, h, d) in e.cores() {
+                    set.insert(m, h, d);
                 }
             }
         }
@@ -681,10 +658,7 @@ impl ExplorationCache {
     /// Snapshots every recorded exploration, in a deterministic order
     /// (sorted by key rendering), for checkpointing.
     pub fn export(&self) -> Vec<ExplorationSnapshot> {
-        let mut out: Vec<ExplorationSnapshot> = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.lock().unwrap().values().map(|e| e.snapshot()));
-        }
+        let mut out: Vec<ExplorationSnapshot> = self.map().values().map(|e| e.snapshot()).collect();
         out.sort_unstable_by(|a, b| {
             (a.automaton, &a.globally_empty, &a.initially, a.copies).cmp(&(
                 b.automaton,
@@ -706,7 +680,7 @@ impl ExplorationCache {
 
     /// Number of recorded explorations.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.map().len()
     }
 
     /// Whether nothing has been recorded yet.

@@ -10,7 +10,7 @@
 //! overlap instead of serializing.
 //!
 //! Safe to share: the [`ExplorationCache`](crate::ExplorationCache) is
-//! lock-striped, and feasibility verdicts are cache-*independent* — a
+//! behind a lock, and feasibility verdicts are cache-*independent* — a
 //! property's verdict, schema count, and counterexample are identical
 //! whether its exploration was replayed, pruned, or fresh. Scheduling
 //! therefore affects only wall time and cache-hit counters, never

@@ -24,17 +24,29 @@
 //! corpus records under its own subdirectory of `DIR` (`bv_broadcast/`,
 //! `simplified_consensus/`), so `--automaton all` keeps the two
 //! checkpoints separate.
+//!
+//! The command line is strict: an unknown or repeated flag, a missing
+//! or malformed value (a `--gate` outside `[0, 1]`, a zero count),
+//! `--checkpoint` with `--resume`, or `--resume` without a checkpoint
+//! exits with code 2 before anything runs or prints on stdout.
+//! `--help` prints the usage and runs nothing.
 
-use std::env;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use holistic_bench::cli::{self, on, positive, rate, set, value, Flags};
 use holistic_ltl::Justice;
 use holistic_mutate::{
     bv_broadcast_corpus, bv_kill_properties, run_kill_matrix, simplified_corpus,
     simplified_kill_properties, smoke_ids, KillConfig, KillMatrix,
 };
+
+const USAGE: &str = "\
+usage: mutation_matrix [--automaton bv|simplified|all] [--smoke]
+                       [--threads N] [--budget-secs N] [--gate RATE]
+                       [--out PATH] [--checkpoint DIR | --resume DIR]
+";
 
 struct Options {
     automaton: String,
@@ -47,77 +59,92 @@ struct Options {
     resume: bool,
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        automaton: "all".to_owned(),
-        smoke: false,
-        workers: std::thread::available_parallelism().map_or(2, |n| n.get().min(8)),
-        out: None,
-        gate: None,
-        budget_secs: 60,
-        checkpoint: None,
-        resume: false,
+fn parse_args(it: &mut Flags<'_>) -> Result<Options, String> {
+    let mut automaton = None;
+    let mut smoke = false;
+    let mut threads = None;
+    let mut out = None;
+    let mut gate = None;
+    let mut budget_secs = None;
+    let mut checkpoint = None;
+    let mut resume = None;
+    while let Some(flag) = it.next() {
+        let f = flag.as_str();
+        match f {
+            "--automaton" => set(&mut automaton, f, value(it, f)?.to_owned())?,
+            "--smoke" => on(&mut smoke, f)?,
+            "--threads" => set(&mut threads, f, positive(f, value(it, f)?)?)?,
+            "--out" => set(&mut out, f, value(it, f)?.to_owned())?,
+            "--gate" => set(&mut gate, f, rate(f, value(it, f)?)?)?,
+            "--budget-secs" => set(&mut budget_secs, f, positive(f, value(it, f)?)?)?,
+            "--checkpoint" => set(&mut checkpoint, f, PathBuf::from(value(it, f)?))?,
+            "--resume" => set(&mut resume, f, PathBuf::from(value(it, f)?))?,
+            _ => return cli::unknown(f),
+        }
+    }
+    let automaton = automaton.unwrap_or_else(|| "all".to_owned());
+    if !matches!(automaton.as_str(), "bv" | "simplified" | "all") {
+        return Err(format!(
+            "--automaton must be bv, simplified or all (got {automaton})"
+        ));
+    }
+    if smoke && automaton == "simplified" {
+        return Err("--smoke is a bv-broadcast subset; drop --automaton simplified".into());
+    }
+    if checkpoint.is_some() && resume.is_some() {
+        return Err("--checkpoint and --resume are exclusive".into());
+    }
+    let opts = Options {
+        workers: threads
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(2, |n| n.get().min(8))),
+        budget_secs: budget_secs.unwrap_or(60),
+        resume: resume.is_some(),
+        checkpoint: resume.or(checkpoint),
+        automaton,
+        smoke,
+        out,
+        gate,
     };
-    let args: Vec<String> = env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--automaton" => {
-                opts.automaton = value(i)?.clone();
-                i += 2;
-            }
-            "--smoke" => {
-                opts.smoke = true;
-                i += 1;
-            }
-            "--threads" => {
-                opts.workers = value(i)?.parse().map_err(|e| format!("--threads: {e}"))?;
-                i += 2;
-            }
-            "--out" => {
-                opts.out = Some(value(i)?.clone());
-                i += 2;
-            }
-            "--gate" => {
-                opts.gate = Some(value(i)?.parse().map_err(|e| format!("--gate: {e}"))?);
-                i += 2;
-            }
-            "--budget-secs" => {
-                opts.budget_secs = value(i)?
-                    .parse()
-                    .map_err(|e| format!("--budget-secs: {e}"))?;
-                i += 2;
-            }
-            "--checkpoint" => {
-                opts.checkpoint = Some(PathBuf::from(value(i)?));
-                i += 2;
-            }
-            "--resume" => {
-                opts.checkpoint = Some(PathBuf::from(value(i)?));
-                opts.resume = true;
-                i += 2;
-            }
-            other => {
+    if opts.resume {
+        for corpus in opts.corpora() {
+            let manifest = opts
+                .checkpoint
+                .as_ref()
+                .unwrap()
+                .join(corpus)
+                .join("manifest.json");
+            if !manifest.exists() {
                 return Err(format!(
-                    "unknown flag {other} (see --help in the doc header)"
-                ))
+                    "--resume: no checkpoint manifest at {} (use --checkpoint to start one)",
+                    manifest.display()
+                ));
             }
         }
     }
-    if !matches!(opts.automaton.as_str(), "bv" | "simplified" | "all") {
-        return Err(format!(
-            "--automaton must be bv, simplified or all (got {})",
-            opts.automaton
-        ));
-    }
-    if opts.smoke && opts.automaton == "simplified" {
-        return Err("--smoke is a bv-broadcast subset; drop --automaton simplified".into());
-    }
     Ok(opts)
+}
+
+impl Options {
+    /// The checkpoint subdirectories of the selected corpora.
+    fn corpora(&self) -> Vec<&'static str> {
+        let mut corpora = Vec::new();
+        if self.automaton != "simplified" {
+            corpora.push("bv_broadcast");
+        }
+        if !self.smoke && self.automaton != "bv" {
+            corpora.push("simplified_consensus");
+        }
+        corpora
+    }
+
+    fn config(&self, corpus: &str) -> KillConfig {
+        KillConfig {
+            workers: self.workers,
+            time_budget: Duration::from_secs(self.budget_secs),
+            checkpoint: self.checkpoint.as_ref().map(|dir| dir.join(corpus)),
+            ..KillConfig::default()
+        }
+    }
 }
 
 fn summarize(m: &KillMatrix) {
@@ -143,94 +170,56 @@ fn summarize(m: &KillMatrix) {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let opts = match cli::parse("mutation_matrix", USAGE, parse_args) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("mutation_matrix: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let config_for = |corpus: &str| -> Result<KillConfig, String> {
-        let checkpoint = match &opts.checkpoint {
-            None => None,
-            Some(dir) => {
-                let sub = dir.join(corpus);
-                if opts.resume && !sub.join("manifest.json").exists() {
-                    return Err(format!(
-                        "--resume: no checkpoint manifest at {} (use --checkpoint to start one)",
-                        sub.display()
-                    ));
-                }
-                Some(sub)
-            }
-        };
-        Ok(KillConfig {
-            workers: opts.workers,
-            time_budget: Duration::from_secs(opts.budget_secs),
-            checkpoint,
-            ..KillConfig::default()
-        })
+        Err(code) => return code,
     };
     let start = std::time::Instant::now();
     let mut matrices = Vec::new();
 
-    if opts.automaton == "bv" || opts.automaton == "all" {
-        let (model, mut corpus) = bv_broadcast_corpus();
-        if opts.smoke {
-            let keep = smoke_ids();
-            corpus.retain(|m| keep.contains(&m.id.as_str()));
-            assert_eq!(corpus.len(), keep.len(), "smoke ids must all exist");
-        }
-        let properties = bv_kill_properties(&model);
-        println!(
-            "bv-broadcast: {} mutants x {} properties",
-            corpus.len(),
-            properties.len()
-        );
-        let config = match config_for("bv_broadcast") {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("mutation_matrix: {e}");
-                return ExitCode::FAILURE;
+    for corpus in opts.corpora() {
+        let matrix = if corpus == "bv_broadcast" {
+            let (model, mut corpus) = bv_broadcast_corpus();
+            if opts.smoke {
+                let keep = smoke_ids();
+                corpus.retain(|m| keep.contains(&m.id.as_str()));
+                assert_eq!(corpus.len(), keep.len(), "smoke ids must all exist");
             }
+            let properties = bv_kill_properties(&model);
+            println!(
+                "bv-broadcast: {} mutants x {} properties",
+                corpus.len(),
+                properties.len()
+            );
+            run_kill_matrix(
+                "bv_broadcast",
+                &corpus,
+                &properties,
+                Justice::from_rules,
+                &opts.config("bv_broadcast"),
+            )
+        } else {
+            let (model, corpus) = simplified_corpus();
+            let properties = simplified_kill_properties(&model);
+            println!(
+                "simplified-consensus: {} mutants x {} properties",
+                corpus.len(),
+                properties.len()
+            );
+            // The Appendix-F justice is requirement-based (location/variable
+            // ids, which rule surgery leaves untouched), so the pristine
+            // model's justice applies to every mutant.
+            let justice = model.justice();
+            run_kill_matrix(
+                "simplified_consensus",
+                &corpus,
+                &properties,
+                |_| justice.clone(),
+                &opts.config("simplified_consensus"),
+            )
         };
-        matrices.push(run_kill_matrix(
-            "bv_broadcast",
-            &corpus,
-            &properties,
-            Justice::from_rules,
-            &config,
-        ));
-        summarize(matrices.last().unwrap());
-    }
-
-    if !opts.smoke && (opts.automaton == "simplified" || opts.automaton == "all") {
-        let (model, corpus) = simplified_corpus();
-        let properties = simplified_kill_properties(&model);
-        println!(
-            "simplified-consensus: {} mutants x {} properties",
-            corpus.len(),
-            properties.len()
-        );
-        // The Appendix-F justice is requirement-based (location/variable
-        // ids, which rule surgery leaves untouched), so the pristine
-        // model's justice applies to every mutant.
-        let justice = model.justice();
-        let config = match config_for("simplified_consensus") {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("mutation_matrix: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        matrices.push(run_kill_matrix(
-            "simplified_consensus",
-            &corpus,
-            &properties,
-            |_| justice.clone(),
-            &config,
-        ));
-        summarize(matrices.last().unwrap());
+        summarize(&matrix);
+        matrices.push(matrix);
     }
 
     println!("total wall clock: {:.1?}", start.elapsed());

@@ -17,12 +17,22 @@
 //!
 //! Exit status 1 on any definite-verdict disagreement or replay
 //! failure — those are soundness bugs in one of the two pipelines.
+//!
+//! The command line is strict: an unknown or repeated flag, a missing
+//! value, or a count or bound that is not a positive integer exits with
+//! code 2 before anything runs or prints on stdout. `--help` prints the
+//! usage and runs nothing.
 
-use std::env;
 use std::process::ExitCode;
 
+use holistic_bench::cli::{self, on, positive, set, value, Flags};
 use holistic_oracle::{run_diff, DiffConfig};
 
+const USAGE: &str = "\
+usage: oracle_diff [--smoke] [--out PATH] [--max-states N] [--bound B]
+";
+
+#[derive(Default)]
 struct Options {
     smoke: bool,
     out: Option<String>,
@@ -30,58 +40,25 @@ struct Options {
     bound: Option<i64>,
 }
 
-fn parse_args() -> Result<Options, String> {
-    let mut opts = Options {
-        smoke: false,
-        out: None,
-        max_states: None,
-        bound: None,
-    };
-    let args: Vec<String> = env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("{} needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--smoke" => {
-                opts.smoke = true;
-                i += 1;
-            }
-            "--out" => {
-                opts.out = Some(value(i)?.clone());
-                i += 2;
-            }
-            "--max-states" => {
-                opts.max_states = Some(
-                    value(i)?
-                        .parse()
-                        .map_err(|e| format!("--max-states: {e}"))?,
-                );
-                i += 2;
-            }
-            "--bound" => {
-                opts.bound = Some(value(i)?.parse().map_err(|e| format!("--bound: {e}"))?);
-                i += 2;
-            }
-            other => {
-                return Err(format!(
-                    "unknown flag {other} (see --help in the doc header)"
-                ))
-            }
+fn parse_args(it: &mut Flags<'_>) -> Result<Options, String> {
+    let mut opts = Options::default();
+    while let Some(flag) = it.next() {
+        let f = flag.as_str();
+        match f {
+            "--smoke" => on(&mut opts.smoke, f)?,
+            "--out" => set(&mut opts.out, f, value(it, f)?.to_owned())?,
+            "--max-states" => set(&mut opts.max_states, f, positive(f, value(it, f)?)?)?,
+            "--bound" => set(&mut opts.bound, f, positive(f, value(it, f)?)?)?,
+            _ => return cli::unknown(f),
         }
     }
     Ok(opts)
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let opts = match cli::parse("oracle_diff", USAGE, parse_args) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("oracle_diff: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(code) => return code,
     };
     let mut cfg = if opts.smoke {
         DiffConfig::smoke()

@@ -175,7 +175,7 @@ fn work_stealing_pool_matches_single_thread() {
 #[test]
 fn matrix_scheduler_matches_inline_walk() {
     // The cross-property matrix scheduler (4 workers pulling whole
-    // properties off a shared queue, lock-striped exploration cache)
+    // properties off a shared queue, one shared exploration cache)
     // must produce the same verdicts, schema counts, and average
     // schema lengths as the inline deterministic walk, in the same
     // order — results are cache-independent, so property-level
